@@ -146,9 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-k",
         type=int,
         default=0,
-        help="fault variants evaluated per dispatch through the "
-        "bitwise-verified batched kernel (0/1 = per-cell; adaptive mode "
-        "treats 0 as its default chunk of 8)",
+        help="adaptive mode: trials per stopping check (0 = 8); "
+        "no effect in exact mode",
     )
     add_supervision_args(p_campaign)
 
@@ -535,12 +534,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.variant == "int8":
         base = QuantizedCellTask(
             model, memory, images, labels, config,
-            label=args.variant, batch_k=args.batch_k,
+            label=args.variant,
         )
     else:
         base = WeightFaultCellTask(
             model, memory, images, labels, config=config,
-            sampler=sampler, label=args.variant, batch_k=args.batch_k,
+            sampler=sampler, label=args.variant,
         )
     adaptive = None
     if args.mode == "adaptive":

@@ -31,7 +31,7 @@ determinism holds by construction rather than by keeping loops in sync.
 :class:`~repro.utils.shm.PackedUnit` — an in-band pickle stream plus
 out-of-band tensor buffers (pickle protocol 5) — whose combined bytes
 feed the checkpoint fingerprint's CRC; callers that already hold a
-task's packed form pass it through ``run_tasks(payloads=...)`` so no
+task's ``PackedUnit`` pass it through ``run_tasks(payloads=...)`` so no
 model snapshot is serialized twice.  All units are laid out in one
 shared-memory **tensor plane** per sweep generation (a region table over
 one :mod:`multiprocessing.shared_memory` segment, see
@@ -95,6 +95,7 @@ of its pickled content.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -108,7 +109,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -439,18 +440,7 @@ class InjectionCellRunner:
             scope_layers=task.memory.layer_names(),
             enabled=getattr(task, "suffix", True),
         )
-        self.kernel = BatchedSuffixKernel(
-            task.model,
-            task.images,
-            task.config.batch_size,
-            engine=self.engine,
-            batch_k=getattr(task, "batch_k", 0),
-        )
-
-    @property
-    def cells_per_call(self) -> int:
-        """Preferred dispatch group width (1 = plain per-cell calls)."""
-        return self.kernel.batch_k if self.kernel.enabled else 1
+        self.kernel = BatchedSuffixKernel(self.injector, self.engine)
 
     def _fault_set(self, rate_index: int, trial: int):
         """The cell's fault draw on its deterministic seed path."""
@@ -459,44 +449,25 @@ class InjectionCellRunner:
         rng = self.tree.generator(cell_seed_path(rate_index, trial))
         return task.sampler(task.memory, rate, rng)
 
+    def _measure(self, forward) -> "float | Sequence[float]":
+        return self.task.measure(forward=forward)
+
     def run_cell(self, rate_index: int, trial: int) -> "float | Sequence[float]":
-        fault_set = self._fault_set(rate_index, trial)
-        forward = None
-        if self.engine is not None:
-            forward = self.engine.forward_fn(self.injector.affected_layers(fault_set))
-        with self.injector.apply(fault_set):
-            return self.task.measure(forward=forward)
+        return self.kernel.evaluate(
+            self._fault_set(rate_index, trial), self._measure
+        )
 
     def run_cells(
         self, cells: Sequence[tuple[int, int]]
     ) -> "list[float | Sequence[float]]":
-        """Evaluate a group of cells through the batched kernel.
-
-        Bit-identical to calling :meth:`run_cell` per cell in order:
-        fault sets are drawn from the same per-cell seed paths, and the
-        kernel either shares a bitwise-verified wide tail across the
-        group or falls back to exactly the per-cell forward.
-        """
+        """:meth:`run_cell` over a chunk of cells, in order."""
         return self.run_fault_sets(
             [self._fault_set(rate_index, trial) for rate_index, trial in cells]
         )
 
     def run_fault_sets(self, fault_sets) -> "list[float | Sequence[float]]":
         """Measure the model under each pre-drawn fault set (in order)."""
-        from functools import partial
-
-        from repro.core.batched import FaultVariant
-
-        variants = [
-            FaultVariant(
-                apply=partial(self.injector.apply, fault_set),
-                affected=tuple(self.injector.affected_layers(fault_set)),
-            )
-            for fault_set in fault_sets
-        ]
-        return self.kernel.run_family(
-            variants, lambda forward: self.task.measure(forward=forward)
-        )
+        return self.kernel.run_family(fault_sets, self._measure)
 
     def close(self) -> None:
         # Injection restores per cell; only the activation cache remains.
@@ -529,7 +500,6 @@ class WeightFaultCellTask:
         label: str = "",
         clean_accuracy: "float | None" = None,
         suffix: bool = True,
-        batch_k: int = 0,
     ):
         from repro.core.campaign import CampaignConfig, random_bitflip_sampler
 
@@ -542,13 +512,6 @@ class WeightFaultCellTask:
         self.label = label
         self._clean = None if clean_accuracy is None else float(clean_accuracy)
         self.suffix = bool(suffix)
-        # Variant-batching width for the runner's BatchedSuffixKernel
-        # (repro.core.batched): 0/1 keeps the historical per-cell loop,
-        # K > 1 shares bitwise-verified wide tails across K cells.
-        # Results are bit-identical either way; the value travels in the
-        # pickled payload because adaptive wrappers reuse it as their
-        # (scientific) stopping-chunk width.
-        self.batch_k = int(batch_k)
 
     def __getstate__(self) -> dict:
         return payload_state(self)
@@ -675,29 +638,6 @@ def _task_runner(state: dict, task_index: int):
     return state["runner"]
 
 
-def _runner_groups(
-    runner, cells: Sequence[tuple[int, int]]
-) -> "Iterator[tuple[list[tuple[int, int]], list]]":
-    """Yield ``(cell group, values)`` pairs in serial cell order.
-
-    Runners advertising ``cells_per_call > 1`` (the batched kernel) get
-    their pending cells in groups via :meth:`run_cells`; everything else
-    runs the historical one-call-per-cell loop.  Grouping is pure
-    dispatch: values are bit-identical either way, and callers still
-    record/emit/checkpoint cell by cell.
-    """
-    group = max(1, int(getattr(runner, "cells_per_call", 1)))
-    for start in range(0, len(cells), group):
-        chunk = list(cells[start : start + group])
-        if group > 1 and len(chunk) > 1:
-            yield chunk, list(runner.run_cells(chunk))
-        else:
-            yield chunk, [
-                runner.run_cell(rate_index, trial)
-                for rate_index, trial in chunk
-            ]
-
-
 def _run_task_cells(
     plane: ShippedPlane,
     generation: "tuple[int, int]",
@@ -723,9 +663,8 @@ def _run_task_cells(
         policy.disturb(task_index, normalized, attempts)
     runner = _task_runner(_worker_state(plane, generation), task_index)
     return [
-        (task_index, rate_index, trial, value)
-        for chunk, values in _runner_groups(runner, normalized)
-        for (rate_index, trial), value in zip(chunk, values)
+        (task_index, rate_index, trial, runner.run_cell(rate_index, trial))
+        for rate_index, trial in normalized
     ]
 
 
@@ -1063,7 +1002,6 @@ class CampaignExecutor:
         sampler: "FaultSampler | None" = None,
         label: str = "",
         suffix: bool = True,
-        batch_k: int = 0,
     ) -> ResilienceCurve:
         """Execute one weight-fault campaign's sweep and build its curve."""
         task = WeightFaultCellTask(
@@ -1076,14 +1014,13 @@ class CampaignExecutor:
             label=label,
             clean_accuracy=campaign.clean_accuracy,
             suffix=suffix,
-            batch_k=batch_k,
         )
         return self.run_tasks([task])[0]
 
     def run_tasks(
         self,
         tasks: Sequence[CampaignCellTask],
-        payloads: "Sequence[PackedUnit | bytes | None] | None" = None,
+        payloads: "Sequence[PackedUnit | None] | None" = None,
     ) -> list[Any]:
         """Execute several campaigns' cells through one scheduling pass.
 
@@ -1097,10 +1034,10 @@ class CampaignExecutor:
         (parallel to ``tasks``; ``None`` entries are packed here).  A
         caller that already serialized a task to snapshot it — e.g.
         :meth:`~repro.core.finetune.LayerAUCEvaluator.evaluate_many` —
-        passes the same :class:`~repro.utils.shm.PackedUnit` (preferred:
-        its tensors ship zero-copy) or legacy ``pickle.dumps`` bytes
-        instead of paying a second serialization of the model; the entry
-        must describe an object equivalent to the corresponding task.
+        passes the same :class:`~repro.utils.shm.PackedUnit` (its tensors
+        ship zero-copy) instead of paying a second serialization of the
+        model; the entry must describe an object equivalent to the
+        corresponding task.
         """
         tasks = list(tasks)
         if not tasks:
@@ -1114,7 +1051,7 @@ class CampaignExecutor:
     def run_grids(
         self,
         tasks: Sequence[CampaignCellTask],
-        payloads: "Sequence[PackedUnit | bytes | None] | None" = None,
+        payloads: "Sequence[PackedUnit | None] | None" = None,
         cells: "Sequence[Sequence[tuple[int, int]]] | None" = None,
     ) -> "tuple[list[np.ndarray], list[np.ndarray]]":
         """Execute (a subset of) each task's cells; return raw value grids.
@@ -1163,15 +1100,9 @@ class CampaignExecutor:
         # One serialization per task serves both the checkpoint
         # fingerprint and the worker payload; pre-packed payloads are
         # reused verbatim, so those tasks are never serialized here.
-        # Legacy raw-bytes payloads become buffer-less units (correct,
-        # just not zero-copy).
-        units: "list[PackedUnit | None]" = [None] * len(tasks)
-        if payloads is not None:
-            for index, payload in enumerate(payloads):
-                if isinstance(payload, PackedUnit):
-                    units[index] = payload
-                elif payload is not None:
-                    units[index] = PackedUnit(payload, ())
+        units: "list[PackedUnit | None]" = (
+            list(payloads) if payloads is not None else [None] * len(tasks)
+        )
         errors: "list[Exception | None]" = [None] * len(tasks)
         if self.checkpoint_path is not None or self.workers > 1:
             for index, task in enumerate(tasks):
@@ -1495,55 +1426,35 @@ class CampaignExecutor:
         the updated completed-cell count.
         """
         policy = self.supervision
-        group = max(1, int(getattr(runner, "cells_per_call", 1)))
-        work: "deque[list[tuple[int, int]]]" = deque(
-            [list(cells[start : start + group])
-             for start in range(0, len(cells), group)]
-        )
-        dispatches: "dict[tuple[int, int], int]" = {}
-        failures: "dict[tuple[int, int], int]" = {}
-        while work:
-            chunk = work.popleft()
-            attempts = [dispatches.get(cell, 0) for cell in chunk]
-            for cell in chunk:
-                dispatches[cell] = dispatches.get(cell, 0) + 1
-            try:
-                if chaos is not None:
-                    chaos.disturb(task_index, chunk, attempts, in_process=True)
-                if len(chunk) > 1 and group > 1:
-                    values = list(runner.run_cells(chunk))
-                else:
-                    values = [
-                        runner.run_cell(rate_index, trial)
-                        for rate_index, trial in chunk
-                    ]
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as error:
-                if policy.on_cell_error == "abort":
+        for rate_index, trial in cells:
+            # Every dispatch before a success failed, so the dispatch
+            # count is both the chaos attempt key and the retry count.
+            for attempts in itertools.count(1):
+                try:
+                    if chaos is not None:
+                        chaos.disturb(
+                            task_index, [(rate_index, trial)], [attempts - 1],
+                            in_process=True,
+                        )
+                    value = runner.run_cell(rate_index, trial)
+                except (KeyboardInterrupt, SystemExit):
                     raise
-                if len(chunk) > 1:
-                    # The failure blames the whole group; probe the
-                    # cells one at a time to isolate the culprit.
-                    work.extendleft([cell] for cell in reversed(chunk))
+                except Exception as error:
+                    if policy.on_cell_error == "abort":
+                        raise
+                    if (
+                        policy.on_cell_error == "quarantine"
+                        or attempts > policy.max_retries
+                    ):
+                        completed += 1
+                        self._quarantine(
+                            task, task_index, rate_index, trial,
+                            rates_list[task_index], completed, total,
+                            "exception", attempts, error,
+                        )
+                        break
+                    time.sleep(policy.backoff_seconds(attempts))
                     continue
-                cell = chunk[0]
-                failures[cell] = failures.get(cell, 0) + 1
-                if (
-                    policy.on_cell_error == "quarantine"
-                    or failures[cell] > policy.max_retries
-                ):
-                    completed += 1
-                    self._quarantine(
-                        task, task_index, cell[0], cell[1],
-                        rates_list[task_index], completed, total,
-                        "exception", dispatches[cell], error,
-                    )
-                else:
-                    time.sleep(policy.backoff_seconds(failures[cell]))
-                    work.appendleft([cell])
-                continue
-            for (rate_index, trial), value in zip(chunk, values):
                 grids[task_index][rate_index, trial] = value
                 completed += 1
                 if checkpoint is not None:
@@ -1555,6 +1466,7 @@ class CampaignExecutor:
                 )
                 if checkpoint is not None:
                     checkpoint.flush()
+                break
         return completed
 
     def _run_parallel(

@@ -60,7 +60,6 @@ class QuantizedCellTask:
         label: str = "int8",
         suffix: bool = True,
         sampler: "Callable | None" = None,
-        batch_k: int = 0,
     ):
         self.model = model
         self.memory = memory
@@ -70,8 +69,6 @@ class QuantizedCellTask:
         self.label = label
         self._clean: "float | None" = None
         self.suffix = bool(suffix)
-        # Variant-batching width (repro.core.batched); 0/1 = per-cell.
-        self.batch_k = int(batch_k)
         # Optional picklable fault sampler over the *int8 code space*:
         # called as sampler(quantized_memory, rate, rng) and may return a
         # bit-index array or a FaultSet (stuck-at ops included).  None
@@ -151,24 +148,13 @@ class _QuantizedCellRunner:
                 scope_layers=task.memory.layer_names(),
                 enabled=getattr(task, "suffix", True),
             )
-            self.kernel = BatchedSuffixKernel(
-                task.model,
-                task.images,
-                task.config.batch_size,
-                engine=self.engine,
-                batch_k=getattr(task, "batch_k", 0),
-            )
+            self.kernel = BatchedSuffixKernel(self.quantized, self.engine)
         except BaseException:
             # Construction must not strand the caller's live model on
             # dequantized weights (the serial path and the executor's
             # parent-side cache export both build runners over it).
             self.close()
             raise
-
-    @property
-    def cells_per_call(self) -> int:
-        """Preferred dispatch group width (1 = plain per-cell calls)."""
-        return self.kernel.batch_k if self.kernel.enabled else 1
 
     def _fault_set(self, rate_index: int, trial: int):
         task = self.task
@@ -187,35 +173,19 @@ class _QuantizedCellRunner:
         )
 
     def run_cell(self, rate_index: int, trial: int) -> float:
-        faults = self._fault_set(rate_index, trial)
-        forward = None
-        if self.engine is not None:
-            forward = self.engine.forward_fn(
-                self.quantized.affected_layers(faults)
-            )
-        with self.quantized.apply(faults):
-            return self._measure(forward)
+        return self.kernel.evaluate(
+            self._fault_set(rate_index, trial), self._measure
+        )
 
     def run_cells(self, cells) -> "list[float]":
-        """Batched-kernel group dispatch; bit-identical to per-cell."""
+        """:meth:`run_cell` over a chunk of cells, in order."""
         return self.run_fault_sets(
             [self._fault_set(rate_index, trial) for rate_index, trial in cells]
         )
 
     def run_fault_sets(self, fault_sets) -> "list[float]":
         """Measure the deployed model under each pre-drawn fault set."""
-        from functools import partial
-
-        from repro.core.batched import FaultVariant
-
-        variants = [
-            FaultVariant(
-                apply=partial(self.quantized.apply, faults),
-                affected=tuple(self.quantized.affected_layers(faults)),
-            )
-            for faults in fault_sets
-        ]
-        return self.kernel.run_family(variants, self._measure)
+        return self.kernel.run_family(fault_sets, self._measure)
 
     def close(self) -> None:
         if self.engine is not None:
@@ -238,7 +208,6 @@ def run_quantized_campaign(
     checkpoint: "str | None" = None,
     suffix: bool = True,
     sampler: "Callable | None" = None,
-    batch_k: int = 0,
 ) -> ResilienceCurve:
     """Rate sweep x trials with faults in the int8 code space.
 
@@ -258,7 +227,7 @@ def run_quantized_campaign(
     """
     task = QuantizedCellTask(
         model, memory, images, labels, config, label=label, suffix=suffix,
-        sampler=sampler, batch_k=batch_k,
+        sampler=sampler,
     )
     executor = CampaignExecutor(
         workers=workers, progress=progress, checkpoint=checkpoint

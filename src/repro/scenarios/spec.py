@@ -235,7 +235,7 @@ class CampaignSpec:
             raise ValueError(
                 "mode 'adaptive' requires campaign 'weight' or 'quantized' "
                 "(activation faults are sampled inside the forward pass, "
-                "so their trial families cannot be batched or reweighted)"
+                "so their trial families cannot be chunked or reweighted)"
             )
         if self.importance is not None:
             if self.mode != "adaptive":

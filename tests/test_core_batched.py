@@ -1,15 +1,14 @@
-"""Tests for the batched Monte-Carlo kernel and adaptive early stopping.
+"""Tests for adaptive early stopping and the execution bit-identity matrix.
 
 The load-bearing guarantees:
 
 * **Registry-wide exact bit-identity** — every cell-task kind (weight /
   quantized / activation / outcome / per-class) produces bit-identical
-  results with variant batching on, across workers {1, 2} x suffix
-  {on, off} x zero-copy {on, off} and under ``REPRO_NO_BATCHED=1``.
+  results across workers {1, 2} x suffix {on, off} x zero-copy
+  {on, off}.
 * **Adaptive determinism** — executed trials equal the exact sweep's
   prefix bit for bit, and the stopping decision is invariant to worker
-  count, suffix caching, the batched-kernel env switch, and
-  checkpoint-resume after a mid-run kill.
+  count, suffix caching, and checkpoint-resume after a mid-run kill.
 """
 
 import math
@@ -24,10 +23,7 @@ from repro.core.batched import (
     SKIP_SENTINEL,
     AdaptiveCampaignTask,
     AdaptiveResult,
-    BatchedSuffixKernel,
-    FaultVariant,
     ImportanceBitflipSampler,
-    batched_globally_disabled,
     clopper_pearson_interval,
     family_interval,
     wilson_interval,
@@ -40,7 +36,6 @@ from repro.hw.memory import WeightMemory
 
 RATES = (1e-4, 1e-3)
 TRIALS = 4
-BATCH_K = 3  # splits a 4-trial family into a wide chunk + a singleton
 
 
 @pytest.fixture
@@ -48,8 +43,8 @@ def parts(trained_mlp, mlp_eval_arrays):
     images, labels = mlp_eval_arrays
     images, labels = images[:48], labels[:48]
     memory = WeightMemory.from_model(trained_mlp)
-    # batch_size 24 -> two evaluation batches per forward, so the replay
-    # table and the wide tail both see multiple offsets.
+    # batch_size 24 -> two evaluation batches per forward, so the suffix
+    # cache sees multiple offsets.
     config = CampaignConfig(
         fault_rates=RATES, trials=TRIALS, seed=11, batch_size=24
     )
@@ -59,31 +54,26 @@ def parts(trained_mlp, mlp_eval_arrays):
 KINDS = ("weight", "quantized", "activation", "outcome", "perclass")
 
 
-def _make_task(kind, parts, batch_k, suffix=True):
+def _make_task(kind, parts, suffix=True):
     model, memory, images, labels, config = parts
     if kind == "weight":
         return WeightFaultCellTask(
-            model, memory, images, labels, config=config,
-            suffix=suffix, batch_k=batch_k,
+            model, memory, images, labels, config=config, suffix=suffix
         )
     if kind == "quantized":
         return QuantizedCellTask(
-            model, memory, images, labels, config,
-            suffix=suffix, batch_k=batch_k,
+            model, memory, images, labels, config, suffix=suffix
         )
     if kind == "activation":
         return ActivationFaultCellTask(
-            model, images, labels, config=config,
-            suffix=suffix, batch_k=batch_k,
+            model, images, labels, config=config, suffix=suffix
         )
     if kind == "outcome":
         return OutcomeCellTask(
-            model, memory, images, labels, config=config,
-            suffix=suffix, batch_k=batch_k,
+            model, memory, images, labels, config=config, suffix=suffix
         )
     return PerClassCellTask(
-        model, memory, images, labels, config=config,
-        suffix=suffix, batch_k=batch_k,
+        model, memory, images, labels, config=config, suffix=suffix
     )
 
 
@@ -99,10 +89,10 @@ def _comparable(kind, result) -> np.ndarray:
 
 
 class TestRegistryBitIdentity:
-    """Batched exact mode == per-cell, for every task kind, everywhere."""
+    """Every task kind is bit-identical under every execution detail."""
 
-    def _run_all(self, parts, batch_k, workers=1, suffix=True):
-        tasks = [_make_task(kind, parts, batch_k, suffix) for kind in KINDS]
+    def _run_all(self, parts, workers=1, suffix=True):
+        tasks = [_make_task(kind, parts, suffix) for kind in KINDS]
         results = CampaignExecutor(workers=workers).run_tasks(tasks)
         return {
             kind: _comparable(kind, result)
@@ -111,8 +101,8 @@ class TestRegistryBitIdentity:
 
     @pytest.fixture
     def reference(self, parts):
-        """The historical per-cell path (serial, suffix on, no batching)."""
-        return self._run_all(parts, batch_k=0)
+        """The serial per-cell path with the suffix engine on."""
+        return self._run_all(parts)
 
     def _assert_matches(self, reference, observed):
         for kind in KINDS:
@@ -121,162 +111,25 @@ class TestRegistryBitIdentity:
             )
 
     def test_serial_suffix_on(self, parts, reference):
-        self._assert_matches(reference, self._run_all(parts, BATCH_K))
+        """A second serial run over the same live objects reproduces the
+        first: runners restore the model they borrowed."""
+        self._assert_matches(reference, self._run_all(parts))
 
     def test_serial_suffix_off(self, parts, reference):
-        self._assert_matches(
-            reference, self._run_all(parts, BATCH_K, suffix=False)
-        )
+        self._assert_matches(reference, self._run_all(parts, suffix=False))
 
     def test_two_workers_zero_copy_on(self, parts, reference):
-        self._assert_matches(
-            reference, self._run_all(parts, BATCH_K, workers=2)
-        )
+        self._assert_matches(reference, self._run_all(parts, workers=2))
 
     def test_two_workers_zero_copy_off(self, parts, reference, monkeypatch):
         monkeypatch.setenv("REPRO_NO_SHM_VIEWS", "1")
-        self._assert_matches(
-            reference, self._run_all(parts, BATCH_K, workers=2)
-        )
+        self._assert_matches(reference, self._run_all(parts, workers=2))
 
     def test_two_workers_suffix_off_everywhere(
         self, parts, reference, monkeypatch
     ):
         monkeypatch.setenv("REPRO_NO_SUFFIX", "1")
-        self._assert_matches(
-            reference, self._run_all(parts, BATCH_K, workers=2)
-        )
-
-    def test_env_kill_switch(self, parts, reference, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCHED", "1")
-        assert batched_globally_disabled()
-        self._assert_matches(reference, self._run_all(parts, BATCH_K))
-
-    def test_wide_batch_k_exceeding_family(self, parts, reference):
-        """A batch_k wider than the trial family is harmless."""
-        observed = {
-            "weight": _comparable(
-                "weight",
-                CampaignExecutor().run_tasks(
-                    [_make_task("weight", parts, batch_k=64)]
-                )[0],
-            )
-        }
-        np.testing.assert_array_equal(reference["weight"], observed["weight"])
-
-
-class TestBatchedKernelInternals:
-    def test_env_switch_degrades_to_per_cell(self, trained_mlp, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCHED", "1")
-        kernel = BatchedSuffixKernel(
-            trained_mlp, np.zeros((8, 3, 8, 8), np.float32), 8, batch_k=4
-        )
-        assert kernel.batch_k == 1 and not kernel.enabled
-
-    def test_cut_span_unknown_layer_is_single(self, trained_mlp):
-        kernel = BatchedSuffixKernel(
-            trained_mlp, np.zeros((8, 3, 8, 8), np.float32), 8, batch_k=4
-        )
-        assert kernel._cut_span(()) is None
-        assert kernel._cut_span(("no-such-layer",)) is None
-
-    def test_replay_rejects_unknown_offsets(self, trained_mlp):
-        kernel = BatchedSuffixKernel(
-            trained_mlp, np.zeros((8, 3, 8, 8), np.float32), 8, batch_k=4
-        )
-        forward = kernel._replay([np.zeros((8, 10), np.float32)])
-        with pytest.raises(RuntimeError, match="replay"):
-            forward(np.zeros((8, 3, 8, 8), np.float32), 999)
-        with pytest.raises(RuntimeError, match="replay"):
-            forward(np.zeros((3, 3, 8, 8), np.float32), 0)  # row mismatch
-
-    def test_grouped_dispatch_accounts_for_every_variant(self, parts):
-        task = _make_task("weight", parts, batch_k=BATCH_K)
-        runner = task.make_runner()
-        try:
-            runner.run_cells([(0, j) for j in range(TRIALS)])
-        finally:
-            runner.close()
-        stats = runner.kernel.stats
-        assert stats["families"] == 1
-        assert stats["variants_batched"] + stats["variants_single"] == TRIALS
-
-    def test_every_tail_signature_gets_a_verdict(
-        self, trained_mlp, mlp_eval_arrays
-    ):
-        """The wide tail is never trusted unverified: the first batch of
-        each signature computes both paths and checks them bit for bit,
-        and no-op variants reproduce the clean logits exactly."""
-        import contextlib
-
-        images, _ = mlp_eval_arrays
-        images = images[:48]
-        kernel = BatchedSuffixKernel(trained_mlp, images, 24, batch_k=4)
-        assert kernel.enabled
-        # FC-1 is the first faultable layer, so the common tail is real.
-        variants = [
-            FaultVariant(apply=contextlib.nullcontext, affected=("FC-1",))
-            for _ in range(3)
-        ]
-        collected = []
-
-        def measure(forward):
-            logits = [
-                forward(images[o : o + 24], o) for o in range(0, 48, 24)
-            ]
-            collected.append(np.concatenate(logits, axis=0))
-            return float(len(collected))
-
-        values = kernel.run_family(variants, measure)
-        assert values == [1.0, 2.0, 3.0]
-        stats = kernel.stats
-        assert stats["variants_batched"] == 3
-        assert (
-            stats["verified_signatures"] + stats["fallback_signatures"]
-            == len(kernel._verified)
-            >= 1
-        )
-        # The bit-identity reference is the per-cell path: one forward
-        # per evaluation batch (full-set forwards differ at BLAS level).
-        clean = np.concatenate(
-            [trained_mlp(images[o : o + 24]) for o in range(0, 48, 24)]
-        )
-        for replayed in collected:
-            np.testing.assert_array_equal(replayed, clean)
-
-
-class TestForwardFromRange:
-    """The ranged nn.Sequential.forward_from the kernel is built on."""
-
-    def test_stop_composes_to_full_forward(self, trained_mlp, mlp_eval_arrays):
-        images, _ = mlp_eval_arrays
-        x = images[:8]
-        full = trained_mlp(x)
-        for stop in range(len(trained_mlp)):
-            frontier = trained_mlp.forward_from(0, x, stop=stop)
-            np.testing.assert_array_equal(
-                trained_mlp.forward_from(stop, frontier), full
-            )
-        # stop == len(model): the frontier already is the final logits.
-        np.testing.assert_array_equal(
-            trained_mlp.forward_from(0, x, stop=len(trained_mlp)), full
-        )
-
-    def test_stop_none_is_full_suffix(self, trained_mlp, mlp_eval_arrays):
-        images, _ = mlp_eval_arrays
-        x = images[:4]
-        np.testing.assert_array_equal(
-            trained_mlp.forward_from(0, x, stop=None), trained_mlp(x)
-        )
-
-    def test_invalid_ranges_rejected(self, trained_mlp):
-        x = np.zeros((2, 3, 8, 8), np.float32)
-        with pytest.raises(IndexError):
-            trained_mlp.forward_from(0, x, stop=len(trained_mlp) + 1)
-        with pytest.raises(IndexError):
-            trained_mlp.forward_from(2, x, stop=1)
-        with pytest.raises(IndexError):
-            trained_mlp.forward_from(len(trained_mlp), x)
+        self._assert_matches(reference, self._run_all(parts, workers=2))
 
 
 class TestIntervalValidation:
@@ -333,10 +186,7 @@ def adaptive_parts(trained_mlp, mlp_eval_arrays):
 
 def _adaptive_task(adaptive_parts, **kwargs):
     model, memory, images, labels, config = adaptive_parts
-    base = WeightFaultCellTask(
-        model, memory, images, labels, config=config,
-        batch_k=kwargs.get("batch_k", 2),
-    )
+    base = WeightFaultCellTask(model, memory, images, labels, config=config)
     kwargs.setdefault("ci_halfwidth", 0.08)
     kwargs.setdefault("batch_k", 2)
     return AdaptiveCampaignTask(base, **kwargs)
@@ -380,26 +230,19 @@ class TestAdaptiveStopping:
                 or n == config.trials
             )
 
-    def test_stopping_invariant_to_execution_details(
-        self, adaptive_parts, monkeypatch
-    ):
-        """Workers, suffix caching and REPRO_NO_BATCHED change how cells
-        are evaluated, never which cells run or what they produce."""
+    def test_stopping_invariant_to_execution_details(self, adaptive_parts):
+        """Workers and suffix caching change how cells are evaluated,
+        never which cells run or what they produce."""
         reference = _run_adaptive(_adaptive_task(adaptive_parts))
         _assert_same_result(
             reference, _run_adaptive(_adaptive_task(adaptive_parts), workers=2)
         )
         model, memory, images, labels, config = adaptive_parts
         base = WeightFaultCellTask(
-            model, memory, images, labels, config=config,
-            suffix=False, batch_k=2,
+            model, memory, images, labels, config=config, suffix=False
         )
         no_suffix = AdaptiveCampaignTask(base, ci_halfwidth=0.08, batch_k=2)
         _assert_same_result(reference, _run_adaptive(no_suffix))
-        monkeypatch.setenv("REPRO_NO_BATCHED", "1")
-        _assert_same_result(
-            reference, _run_adaptive(_adaptive_task(adaptive_parts))
-        )
 
     def test_huge_tolerance_stops_at_min_trials(self, adaptive_parts):
         result = _run_adaptive(

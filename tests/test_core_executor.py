@@ -575,16 +575,13 @@ class TestWarmPool:
     def test_prepickled_payloads_skip_reserialization(
         self, campaign_parts, monkeypatch
     ):
-        """run_tasks(payloads=...) must use the given payloads verbatim —
-        both the legacy raw-bytes form and the packed-unit form."""
-        import pickle
-
+        """run_tasks(payloads=...) must use the given packed units
+        verbatim."""
         import repro.core.executor as executor_module
         from repro.utils.shm import pack_object
 
         model, memory, images, labels, config = campaign_parts
         task = WeightFaultCellTask(model, memory, images, labels, config=config)
-        blob = pickle.dumps(task)
         unit = pack_object(task)
         monkeypatch.setattr(
             executor_module,
@@ -592,8 +589,6 @@ class TestWarmPool:
             lambda task: pytest.fail("pre-packed task was re-serialized"),
         )
         baseline = run_campaign(model, memory, images, labels, config)
-        curve = CampaignExecutor(workers=2).run_tasks([task], payloads=[blob])[0]
-        np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
         curve = CampaignExecutor(workers=2).run_tasks([task], payloads=[unit])[0]
         np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
 
@@ -925,6 +920,21 @@ class TestChaosSupervision:
             self._run(campaign_parts, workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_chaos_attempt_gate_counts_every_dispatch(
+        self, campaign_parts, monkeypatch, workers
+    ):
+        """``attempts=2`` disturbs a cell's first two dispatches (attempt
+        keys 0 and 1), so one retry is not enough to recover it."""
+        monkeypatch.setenv(CHAOS_ENV_VAR, "raise=1,attempts=2,cell=0:1")
+        _, executor = self._run(
+            campaign_parts, workers, on_cell_error="retry", max_retries=1
+        )
+        assert [
+            (record["rate_index"], record["trial"], record["attempts"])
+            for record in executor.quarantined
+        ] == [(0, 1, 2)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_persistent_exception_quarantines_cell(
         self, campaign_parts, baseline, monkeypatch, workers
     ):
@@ -1059,7 +1069,7 @@ class TestChaosCheckpointResume:
 
         def adaptive_task():
             base = WeightFaultCellTask(
-                model, memory, images, labels, config=config, batch_k=2
+                model, memory, images, labels, config=config
             )
             return AdaptiveCampaignTask(base, ci_halfwidth=0.08, batch_k=2)
 
