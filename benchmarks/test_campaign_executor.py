@@ -10,12 +10,16 @@ executor's determinism contract), and appends the wall-clock times to
 The JSON is an **append-only history**: one entry per git SHA (re-runs
 on the same SHA replace that SHA's entry), so the speedup trajectory is
 tracked *across PRs*, as the ROADMAP asks.  Reporting is honest about
-the hardware: every entry records ``cpus`` up front, and on a
+the hardware: every entry records ``cpus`` (affinity-aware) and the
+numerical environment — ``blas`` (numpy's BLAS name and version),
+``blas_threads`` (this process) and ``worker_blas_threads`` (a pinned
+pool worker) — up front, and on a
 single-CPU runner — where process parallelism cannot win anything —
 the entry reports ``parallel_overhead_pct`` (how much the pool costs)
 instead of advertising a meaningless sub-1.0 "speedup"; multi-core
-runners get the usual ``speedup`` ratios.  Raw seconds are always
-recorded either way.
+runners get the usual ``speedup`` ratios and must reach
+``MIN_SPEEDUP`` on both paths.  Raw seconds are always recorded either
+way.
 
 Each entry also carries a ``zero_copy`` block measuring the tensor
 plane (``docs/MEMORY_MODEL.md``): the per-worker cost of attaching the
@@ -35,11 +39,16 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from repro.core.campaign import CampaignConfig, run_campaign
-from repro.core.executor import WeightFaultCellTask
+from repro.core.executor import (
+    CampaignExecutor,
+    WeightFaultCellTask,
+    resolve_workers,
+)
 from repro.core.quantized import run_quantized_campaign
 from repro.data import SyntheticCIFAR10
 from repro.hw.memory import WeightMemory
 from repro.models import LeNet5
+from repro.utils.blas import blas_threads
 from repro.utils.shm import pack_object, ship_units, shared_memory_available
 
 from .conftest import RESULTS_DIR
@@ -52,6 +61,11 @@ RATES = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3)
 TRIALS = 8
 EVAL_IMAGES = 256
 SEED = 2020
+
+# Gate on multi-core runners, for both the float32 and the int8 path.
+# With BLAS pinned per worker, 2 workers on 2 CPUs measured 1.33-2.04x
+# (8 ratios); unpinned they measured 0.65-1.0x.
+MIN_SPEEDUP = 1.2
 
 
 def _model_and_eval_set():
@@ -91,6 +105,24 @@ def _append_history(path, entry: dict) -> dict:
     history = [item for item in history if item.get("sha") != entry["sha"]]
     history.append(entry)
     return {"benchmark": "campaign_executor", "history": history}
+
+
+def _blas_info() -> dict:
+    """numpy's BLAS library name and version (numpy >= 1.25 reports them)."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # pragma: no cover - older numpy
+        return {"name": "unknown", "version": "unknown"}
+    return {"name": info.get("name"), "version": info.get("version")}
+
+
+def _worker_blas_threads(workers: int) -> "int | None":
+    """The OpenBLAS thread count a pinned ``workers``-process pool runs."""
+    executor = CampaignExecutor(workers=workers, persistent=True)
+    try:
+        return executor._acquire_pool(workers).submit(blas_threads).result()
+    finally:
+        executor.close()
 
 
 def _rss_kb() -> int:
@@ -199,10 +231,13 @@ def test_bench_campaign_serial_vs_two_workers(record_result, bench_workers):
     np.testing.assert_array_equal(int8_serial.accuracies, int8_parallel.accuracies)
     assert int8_serial.clean_accuracy == int8_parallel.clean_accuracy
 
-    cpus = os.cpu_count() or 1
+    cpus = resolve_workers(0)
     entry = {
         "sha": _git_sha(),
         "cpus": cpus,
+        "blas": _blas_info(),
+        "blas_threads": blas_threads(),
+        "worker_blas_threads": _worker_blas_threads(workers),
         "workers": workers,
         "cells": len(RATES) * TRIALS,
         "eval_images": EVAL_IMAGES,
@@ -252,11 +287,16 @@ def test_bench_campaign_serial_vs_two_workers(record_result, bench_workers):
         )
     record_result(
         "BENCH_campaign",
-        "campaign executor [{sha}, {cpus} CPUs]: serial {serial_seconds}s "
-        "vs {workers}-worker {parallel_seconds}s; quantized serial "
+        "campaign executor [{sha}, {cpus} CPUs, {blas[name]} "
+        "{blas[version]}, BLAS threads {blas_threads} parent / "
+        "{worker_blas_threads} worker]: serial {serial_seconds}s vs "
+        "{workers}-worker {parallel_seconds}s; quantized serial "
         "{quantized_serial_seconds}s vs {quantized_parallel_seconds}s; "
         .format(**entry)
         + ratios
         + zc_note
         + f"; bit-identical curves; history entries: {len(payload['history'])}",
     )
+    if cpus >= 2:
+        assert entry["speedup"] >= MIN_SPEEDUP, entry
+        assert entry["quantized_speedup"] >= MIN_SPEEDUP, entry

@@ -115,6 +115,7 @@ import numpy as np
 
 from repro.core.chaos import ChaosPolicy
 from repro.core.metrics import ResilienceCurve, evaluate_accuracy_arrays
+from repro.utils.blas import blas_threads, set_blas_threads
 from repro.utils.rng import SeedTree
 from repro.utils.shm import PackedUnit, ShippedPlane, pack_object, ship_units
 
@@ -561,16 +562,18 @@ class WeightFaultCellTask:
 # worker-side machinery
 # --------------------------------------------------------------------- #
 
-# Per-process sweep state, set once by _init_worker.  Plain module
-# globals: ProcessPoolExecutor workers are single-threaded and each
-# process serves exactly one sweep *generation* at a time.  A warm pool
-# outlives individual sweeps (Algorithm-1 iterations reuse one pool), so
-# the payload travels with each chunk call — a tiny tensor-plane address
-# (segment name + region table), attached once per worker per generation
-# — instead of the pool initializer.  Tasks load lazily (zero-copy views
-# by default) and only one runner stays live per worker; under
-# copy-on-write that runner privatizes only the weight regions its
-# fault sets actually write.
+# Per-process sweep state, set once by _init_worker, which also pins the
+# worker's OpenBLAS to cpus // workers threads (2 workers x 2 BLAS
+# threads on 2 cores oversubscribed them; the pool ran 0.65x of serial).
+# Plain module globals: ProcessPoolExecutor workers are single-threaded
+# and each process serves exactly one sweep *generation* at a time.  A
+# warm pool outlives individual sweeps (Algorithm-1 iterations reuse one
+# pool), so the payload travels with each chunk call — a tiny
+# tensor-plane address (segment name + region table), attached once per
+# worker per generation — instead of the pool initializer.  Tasks load
+# lazily (zero-copy views by default) and only one runner stays live per
+# worker; under copy-on-write that runner privatizes only the weight
+# regions its fault sets actually write.
 _WORKER_STATE: "dict | None" = None
 
 # Parent-side generation ids: one per run_tasks scheduling pass, so a
@@ -578,9 +581,22 @@ _WORKER_STATE: "dict | None" = None
 _GENERATION = iter(range(1, 2**62))
 
 
-def _init_worker() -> None:
-    """Pool initializer: empty slots, filled by the first chunk call."""
+def _init_worker(workers: int = 1) -> None:
+    """Pool initializer: empty slots, filled by the first chunk call.
+
+    Also pins this worker's OpenBLAS to ``cpus // workers`` threads
+    (``cpus`` is the affinity-aware ``resolve_workers(0)``), never
+    raising the count it inherited, so a user's ``OPENBLAS_NUM_THREADS``
+    still wins.  Unpinned, 2 workers each ran a 2-thread sgemm on 2
+    cores: the threads oversubscribed the cores and the pool ran at
+    0.65x of serial.  Results do not depend on the thread count.
+    """
     global _WORKER_STATE
+    inherited = blas_threads()
+    if inherited is not None:
+        target = max(1, resolve_workers(0) // workers)
+        if target < inherited:
+            set_blas_threads(target)
     _WORKER_STATE = {
         "generation": None,
         "view": None,
@@ -1812,6 +1828,7 @@ class CampaignExecutor:
             max_workers=workers,
             mp_context=context,
             initializer=_init_worker,
+            initargs=(workers,),
         )
         if self.persistent:
             self._pool = pool

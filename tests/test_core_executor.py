@@ -7,6 +7,8 @@ accuracy grid is assembled by cell index, never by completion order.
 """
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -26,8 +28,12 @@ from repro.core.executor import (
     cell_seed_path,
     resolve_workers,
 )
+from repro.core.quantized import run_quantized_campaign
+from repro.hw.actfaults import run_activation_campaign
 from repro.hw.faultmodels import FaultSet
 from repro.hw.memory import WeightMemory
+from repro.utils import blas
+from repro.utils.blas import blas_threads, set_blas_threads
 
 RATES = (1e-5, 1e-4, 1e-3)
 
@@ -804,6 +810,91 @@ class TestWorkerPlaneWiring:
         finally:
             executor_module._WORKER_STATE = saved_state
             shipment.release()
+
+
+def _worker_blas_report(_):
+    """Pool-side probe: (pid, OpenBLAS threads).  The sleep keeps a
+    worker busy long enough for every worker of the pool to take a call."""
+    time.sleep(0.3)
+    return os.getpid(), blas_threads()
+
+
+def _pool_blas_reports(mp_context=None) -> dict:
+    """pid -> OpenBLAS thread count, from each worker of a 2-worker pool."""
+    executor = CampaignExecutor(workers=2, persistent=True, mp_context=mp_context)
+    try:
+        pool = executor._acquire_pool(2)
+        return dict(pool.map(_worker_blas_report, range(6)))
+    finally:
+        executor.close()
+
+
+class TestWorkerBlasThreads:
+    """Pool workers pin OpenBLAS to cpus // workers threads; the parent
+    (and so every serial run) keeps its own count."""
+
+    @pytest.mark.parametrize("mp_context", [None, "spawn"])
+    def test_each_worker_pinned(self, mp_context):
+        parent = blas_threads()
+        if parent is None:
+            pytest.skip("no OpenBLAS with a thread API in this numpy")
+        expected = min(parent, max(1, resolve_workers(0) // 2))
+        reports = _pool_blas_reports(mp_context)
+        assert len(reports) == 2
+        assert set(reports.values()) == {expected}
+        assert blas_threads() == parent
+
+    def test_unresolved_library_is_a_noop(self, campaign_parts, monkeypatch):
+        model, memory, images, labels, config = campaign_parts
+        serial = run_campaign(model, memory, images, labels, config)
+        monkeypatch.setattr(blas, "_library_paths", lambda: [])
+        blas._thread_api.cache_clear()
+        try:
+            assert blas_threads() is None
+            set_blas_threads(1)  # must not raise
+            # Forked workers inherit the patched lookup.
+            assert set(_pool_blas_reports("fork").values()) == {None}
+            parallel = run_campaign(
+                model, memory, images, labels, config, workers=2
+            )
+        finally:
+            monkeypatch.undo()
+            blas._thread_api.cache_clear()
+        np.testing.assert_array_equal(serial.accuracies, parallel.accuracies)
+        assert serial.clean_accuracy == parallel.clean_accuracy
+
+
+class TestBlasThreadCountIdentity:
+    """Results do not depend on the BLAS thread count: the premise that
+    lets pool workers run pinned while serial runs keep the default."""
+
+    def test_serial_campaigns_identical_at_one_and_two_threads(
+        self, trained_lenet, eval_arrays
+    ):
+        original = blas_threads()
+        if original is None:
+            pytest.skip("no OpenBLAS with a thread API in this numpy")
+        images, labels = eval_arrays
+        memory = WeightMemory.from_model(trained_lenet)
+        config = CampaignConfig(fault_rates=RATES, trials=2, seed=5)
+        results = {}
+        try:
+            for threads in (1, 2):
+                set_blas_threads(threads)
+                assert blas_threads() == threads
+                results[threads] = [
+                    run_campaign(trained_lenet, memory, images, labels, config),
+                    run_quantized_campaign(
+                        trained_lenet, memory, images, labels, config
+                    ),
+                    run_activation_campaign(trained_lenet, images, labels, config),
+                ]
+        finally:
+            set_blas_threads(original)
+        for one, two in zip(results[1], results[2]):
+            np.testing.assert_array_equal(one.accuracies, two.accuracies)
+            assert one.clean_accuracy == two.clean_accuracy
+
 
 class TestSupervisionPolicy:
     def test_defaults(self):
